@@ -194,11 +194,12 @@ class CentralizedSystem:
         #: drivers expect a ``sites`` mapping with ``.crashed``
         self.sites = self.clients
 
-        for product in self.catalog:
-            self.collector.ledger.set_initial(product.item, product.initial_stock)
-            self.server.store.insert(product.item, product.initial_stock)
-            for client in self.clients.values():
-                client.store.insert(product.item, product.initial_stock)
+        stock = [(p.item, p.initial_stock) for p in self.catalog]
+        for item, initial in stock:
+            self.collector.ledger.set_initial(item, initial)
+        self.server.store.insert_many(stock)
+        for client in self.clients.values():
+            client.store.insert_many(stock)
 
     @property
     def stats(self):

@@ -87,14 +87,19 @@ def bootstrap(
         base = names[0]
     weights = av_weights if av_weights is not None else {n: 1.0 for n in names}
 
+    # Each site's slice and belief seeds, in catalogue order, loaded in
+    # one bulk call per table.
+    rows: Dict[str, list] = {name: [] for name in names}
+    seeds: Dict[str, list] = {name: [] for name in names}
     for product in catalog:
         ledger.set_initial(product.item, product.initial_stock)
         interested = (
             list(topology.sites_for(product.item))
             if topology is not None else names
         )
+        row = (product.item, product.initial_stock)
         for name in interested:
-            sites[name].store.insert(product.item, product.initial_stock)
+            rows[name].append(row)
 
         if not product.regular:
             continue
@@ -108,7 +113,12 @@ def bootstrap(
             sites[name].av_table.define(product.item, shares[name])
         # The interest set knows the initial deal (it came from the base).
         for name in interested:
-            beliefs = sites[name].accelerator.beliefs
-            for peer, share in shares.items():
-                if peer != name:
-                    beliefs.observe(peer, product.item, share, now=0.0)
+            seeds[name].extend(
+                (peer, product.item, share)
+                for peer, share in shares.items()
+                if peer != name
+            )
+
+    for name in names:
+        sites[name].store.insert_many(rows[name])
+        sites[name].accelerator.beliefs.observe_many(seeds[name], now=0.0)

@@ -153,17 +153,6 @@ class DistributedSystem:
                 interest=topology.view(name) if topology is not None else None,
                 kernel=kernel,
             )
-            if kernel == "columnar":
-                # Interest-set slicing: pre-size the site's columns to
-                # exactly its catalogue slice so bootstrap never
-                # reallocates mid-load (full replication = whole
-                # catalogue; a topology = the site's interest set).
-                n_slice = (
-                    len(topology.view(name).items)
-                    if topology is not None else len(catalog)
-                )
-                store.reserve(n_slice)
-                accel.av_table.reserve(n_slice)
             if topology is not None:
                 role = SiteRole(topology.role_of(name))
             else:
@@ -235,10 +224,11 @@ class DistributedSystem:
     # ---------------------------------------------------------------- #
 
     def av_total(self, item: str) -> float:
-        """AV for ``item`` summed over all sites (transfers conserve it)."""
+        """AV for ``item`` summed over its interest set (transfers
+        conserve it; sites outside the set never define the item)."""
         return sum(
             s.av_table.get(item)
-            for s in self.sites.values()
+            for s in self.interested_sites(item)
             if s.av_table.defined(item)
         )
 

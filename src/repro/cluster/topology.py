@@ -195,42 +195,48 @@ class Topology:
                     seen.setdefault(item)
             items = list(seen)
         self.items: Tuple[str, ...] = tuple(items)
-        universe = set(self.items)
+        position = {item: i for i, item in enumerate(self.items)}
+        if len(position) != len(self.items):
+            raise ValueError("duplicate items in the catalogue order")
         for leaf in self.leaves:
-            stray = [i for i in slices[leaf] if i not in universe]
+            stray = [i for i in slices[leaf] if i not in position]
             if stray:
                 raise ValueError(f"{leaf!r} slice has unknown items {stray}")
 
         # Per-site interest: maker = everything; leaf = its slice;
         # aggregator = union over descendant leaves, in catalogue order.
+        # Sorting by catalogue position costs O(|slice| log |slice|) per
+        # site, where filtering the whole catalogue cost O(items).
+        in_order = position.__getitem__
         self._interest: Dict[str, Tuple[str, ...]] = {
             self.maker: self.items
         }
         for leaf in self.leaves:
-            in_slice = set(slices[leaf])
             self._interest[leaf] = tuple(
-                i for i in self.items if i in in_slice
+                sorted(set(slices[leaf]), key=in_order)
             )
         for name in self.aggregators:
             union = set()
             for leaf in self._descendant_leaves(name):
                 union.update(self._interest[leaf])
-            self._interest[name] = tuple(i for i in self.items if i in union)
+            self._interest[name] = tuple(sorted(union, key=in_order))
 
-        orphaned = [
-            i for i in self.items
-            if not any(i in set(self._interest[leaf]) for leaf in self.leaves)
-        ]
-        if orphaned:
+        served = set()
+        for leaf in self.leaves:
+            served.update(self._interest[leaf])
+        if len(served) != len(position):
+            orphaned = [i for i in self.items if i not in served]
             raise ValueError(f"items served by no leaf: {orphaned}")
 
-        # item -> interested sites, in topology (maker-first) order.
-        self._sites_for: Dict[str, Tuple[str, ...]] = {}
-        interest_sets = {n: set(v) for n, v in self._interest.items()}
-        for item in self.items:
-            self._sites_for[item] = tuple(
-                n for n in self._specs if item in interest_sets[n]
-            )
+        # item -> interested sites, in topology (maker-first) order:
+        # walking the sites in spec order and appending keeps that order.
+        sites_for: Dict[str, List[str]] = {item: [] for item in self.items}
+        for name in self._specs:
+            for item in self._interest[name]:
+                sites_for[item].append(name)
+        self._sites_for: Dict[str, Tuple[str, ...]] = {
+            item: tuple(sites) for item, sites in sites_for.items()
+        }
         self._views: Dict[str, InterestView] = {}
 
     # ------------------------------------------------------------- #

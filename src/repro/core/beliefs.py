@@ -13,7 +13,7 @@ ablation quantifies its cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,6 +46,13 @@ class BeliefTable:
             return
         self._beliefs[key] = Belief(volume, now)
         self.observations += 1
+
+    def observe_many(
+        self, observations: Iterable[Tuple[str, str, float]], now: float
+    ) -> None:
+        """Bulk :meth:`observe` of ``(peer, item, volume)`` triples."""
+        for peer, item, volume in observations:
+            self.observe(peer, item, volume, now)
 
     def believed_volume(self, peer: str, item: str) -> Optional[float]:
         """Last known AV of ``peer`` for ``item``; ``None`` if never seen."""

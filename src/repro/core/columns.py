@@ -9,11 +9,12 @@ tables into flat catalog-indexed columns:
 * one insertion-ordered ``{key: slot}`` index dict per table, and
 * ``array('d')`` / ``array('q')`` value columns indexed by slot.
 
-A site pre-sizes its columns to its interest-set slice via
-:meth:`reserve` (PR 9's ``InterestView`` knows exactly which items the
-site serves), so partial replication allocates only the catalogue
-slice it needs. Freed slots go on a free-list and are reused in
-ascending order, keeping slot assignment deterministic.
+A site only ever defines the items of its interest-set slice, so
+partial replication allocates only the catalogue slice it needs.
+Columns grow geometrically (amortised O(1) per key) and stores load
+a whole slice in one :meth:`ColumnarStore.insert_many` call. Unused
+slots wait on a free-list and are handed out in ascending order,
+keeping slot assignment deterministic.
 
 Determinism contract — the reason this module is testable at all:
 every columnar class mirrors its object twin *exactly*: same public
@@ -36,12 +37,15 @@ from __future__ import annotations
 
 import os
 from array import array
+from bisect import insort
+from operator import neg
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.core.av_table import Hold
 from repro.core.beliefs import Belief
 from repro.core.errors import AVUndefined, InsufficientAV, InvalidVolume
 from repro.db.errors import DuplicateItem, NegativeValue, UnknownItem
+from repro.db.storage import validate_batch
 
 #: kernel names accepted everywhere a kernel can be chosen
 KERNELS = ("columnar", "object")
@@ -80,13 +84,18 @@ class _SlotColumns:
     """Shared slot allocator: insertion-ordered index + free-list.
 
     Subclasses declare their value columns; this base owns slot
-    assignment. Slots are handed out in ascending order — fresh slots
-    extend the columns, freed slots are reused lowest-first — so two
-    runs performing the same operation sequence always agree on the
-    item → slot mapping.
+    assignment. Every unused slot below the column capacity sits on the
+    free-list, kept sorted descending so ``pop()`` yields the lowest
+    first. When the free-list runs dry the columns double and the fresh
+    slots join it, so growth is amortised O(1) per key and two runs
+    performing the same operation sequence always agree on the
+    item → slot mapping (each key gets the lowest unused slot).
     """
 
     __slots__ = ("_index", "_free")
+
+    #: capacity of the first growth step
+    _MIN_GROWTH = 8
 
     def __init__(self) -> None:
         self._index: Dict = {}
@@ -96,39 +105,24 @@ class _SlotColumns:
         raise NotImplementedError
 
     def _alloc(self, key) -> int:
-        if self._free:
-            slot = self._free.pop()
-        else:
-            slot = len(self._index) + len(self._free)
-            self._grow(1)
+        free = self._free
+        if not free:
+            # Free-list empty ⇒ every slot is in use: capacity == len.
+            base = len(self._index)
+            extra = max(base, self._MIN_GROWTH)
+            self._grow(extra)
+            free.extend(range(base + extra - 1, base - 1, -1))
+        slot = free.pop()
         self._index[key] = slot
         return slot
 
     def _release(self, key) -> int:
         slot = self._index.pop(key)
         # Keep the free-list sorted descending so pop() yields the
-        # lowest slot first (deterministic reuse order).
-        free = self._free
-        free.append(slot)
-        if len(free) > 1 and free[-2] < slot:
-            free.sort(reverse=True)
+        # lowest slot first (deterministic reuse order). A binary
+        # insert, since the list also holds the spare fresh slots.
+        insort(self._free, slot, key=neg)
         return slot
-
-    def reserve(self, n: int) -> None:
-        """Pre-size the columns for ``n`` keys (interest-set slicing).
-
-        Called at build time with the size of the site's catalogue
-        slice so bootstrap never reallocates mid-load. Slots already
-        allocated count toward ``n``.
-        """
-        have = len(self._index) + len(self._free)
-        missing = n - have
-        if missing <= 0:
-            return
-        base = have
-        self._grow(missing)
-        # Lowest-first reuse: store descending so pop() is ascending.
-        self._free.extend(range(base + missing - 1, base - 1, -1))
 
 
 class ColumnarAVTable(_SlotColumns):
@@ -379,6 +373,33 @@ class ColumnarBeliefTable(_SlotColumns):
         self._at[slot] = now
         self.observations += 1
 
+    def observe_many(
+        self, observations: Iterable[Tuple[str, str, float]], now: float
+    ) -> None:
+        """Bulk :meth:`observe` of ``(peer, item, volume)`` triples.
+
+        Same table as a loop of ``observe``. A batch of fresh, distinct
+        keys into a table with no free slot (bootstrap's seeding) loads
+        the index and columns in one go; anything else takes the loop.
+        """
+        observations = list(observations)
+        keys = [(peer, item) for peer, item, _ in observations]
+        index = self._index
+        if (
+            self._free
+            or len(set(keys)) != len(keys)
+            or not index.keys().isdisjoint(keys)
+        ):
+            for peer, item, volume in observations:
+                self.observe(peer, item, volume, now)
+            return
+        # Free-list empty ⇒ every slot is in use: capacity == len.
+        base = len(index)
+        index.update(zip(keys, range(base, base + len(keys))))
+        self._vol.extend(array("d", [v for _, _, v in observations]))
+        self._at.extend(array("d", [now]) * len(keys))
+        self.observations += len(keys)
+
     def believed_volume(self, peer: str, item: str) -> Optional[float]:
         """Last known AV of ``peer`` for ``item``; ``None`` if never seen."""
         slot = self._index.get((peer, item))
@@ -525,6 +546,38 @@ class ColumnarStore(_SlotColumns):
         self._ver[slot] = 0
         self._at[slot] = now
         return _ColumnRecord(self, slot, item)
+
+    def insert_many(
+        self, pairs: Iterable[Tuple[str, float]], now: float = 0.0
+    ) -> None:
+        """Bulk :meth:`insert`: same records as a loop of ``insert``.
+
+        The whole batch is validated first (see
+        :func:`~repro.db.storage.validate_batch`), so a rejected batch
+        leaves the store unchanged. Freed slots are reused lowest-first,
+        then the columns extend once for the rest.
+        """
+        items, values = validate_batch(
+            self.name, self._index, pairs, self.allow_negative
+        )
+        index = self._index
+        free = self._free
+        val, ver, at = self._val, self._ver, self._at
+        reused = min(len(free), len(items))
+        for item, value in zip(items[:reused], values[:reused]):
+            slot = free.pop()
+            index[item] = slot
+            val[slot] = value
+            ver[slot] = 0
+            at[slot] = now
+        fresh = len(items) - reused
+        if fresh:
+            # Free-list empty ⇒ every slot is in use: capacity == len.
+            base = len(val)
+            index.update(zip(items[reused:], range(base, base + fresh)))
+            val.extend(array("d", values[reused:]))
+            ver.extend(array("q", [0]) * fresh)
+            at.extend(array("d", [now]) * fresh)
 
     def drop(self, item: str) -> None:
         if item not in self._index:

@@ -8,10 +8,47 @@ place.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 from repro.db.errors import DuplicateItem, NegativeValue, UnknownItem
 from repro.db.record import Record
+
+
+def validate_batch(
+    name: str,
+    existing,
+    pairs: Iterable[Tuple[str, float]],
+    allow_negative: bool,
+) -> Tuple[Sequence[str], Sequence[float]]:
+    """Check a bulk-insert batch before anything is written.
+
+    Returns the batch split into ``(items, values)``. Raises the error a
+    loop of :meth:`Store.insert` would raise first — :class:`DuplicateItem`
+    for an id already in ``existing`` or repeated within the batch,
+    :class:`NegativeValue` for a negative value the store refuses — so
+    both kernels reject the same batch the same way, with nothing
+    written.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return (), ()
+    items, values = zip(*pairs)
+    # Fast path for a clean batch. ``min`` is NaN or the least non-NaN
+    # value, and NaN never fails the loop's ``value < 0`` either.
+    if (
+        len(set(items)) == len(items)
+        and existing.keys().isdisjoint(items)
+        and (allow_negative or min(values) >= 0)
+    ):
+        return items, values
+    seen = set()
+    for item, value in pairs:
+        if item in existing or item in seen:
+            raise DuplicateItem(f"item {item!r} already in store {name!r}")
+        if not allow_negative and value < 0:
+            raise NegativeValue(item, 0, value)
+        seen.add(item)
+    return items, values
 
 
 class Store:
@@ -47,6 +84,21 @@ class Store:
         rec = Record(item, value, version=0, updated_at=now)
         self._records[item] = rec
         return rec
+
+    def insert_many(
+        self, pairs: Iterable[Tuple[str, float]], now: float = 0.0
+    ) -> None:
+        """Bulk :meth:`insert`: same records as a loop of ``insert``.
+
+        The whole batch is validated first, so a rejected batch leaves
+        the store unchanged.
+        """
+        items, values = validate_batch(
+            self.name, self._records, pairs, self.allow_negative
+        )
+        records = self._records
+        for item, value in zip(items, values):
+            records[item] = Record(item, value, 0, now)
 
     def drop(self, item: str) -> None:
         if item not in self._records:

@@ -10,11 +10,13 @@ take-then-revert cycles, definition, drops — through both kernels in
 lockstep and through a pure-dict model, and asserts the three never
 disagree.
 
-The slot machinery gets its own properties: ``reserve`` pre-sizing at
-interest-slice boundaries (more items than reserved, fewer, zero),
-free-list reuse after drops, and accesses to catalog items a site
-never defined (unseen indices must raise, not read a neighbour's
-slot).
+The slot machinery gets its own properties: geometric growth across
+capacity boundaries (slots still handed out lowest-first), free-list
+reuse after drops (lowest-first, ahead of spare fresh slots), bulk
+``insert_many`` / ``observe_many`` against a loop of ``insert`` /
+``observe`` on both kernels, and
+accesses to catalog items a site never defined (unseen indices must
+raise, not read a neighbour's slot).
 """
 
 from __future__ import annotations
@@ -233,27 +235,70 @@ def test_belief_tables_agree_on_any_interleaving(ops):
 # --------------------------------------------------------------------- #
 
 
+class CountingStore(ColumnarStore):
+    """Counts column growth steps (amortisation check)."""
+
+    __slots__ = ("grows",)
+
+    def __init__(self, name: str = "store") -> None:
+        super().__init__(name)
+        self.grows = 0
+
+    def _grow(self, n: int) -> None:
+        self.grows += 1
+        super()._grow(n)
+
+
 class TestInterestSliceBoundaries:
-    @pytest.mark.parametrize("reserved", [0, 1, 3, 5, 8])
-    def test_reserve_then_overflow_matches_object_kernel(self, reserved):
-        # A site reserves its interest-set slice; defining more items
-        # than reserved must grow seamlessly and stay order-identical.
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 40])
+    def test_growth_across_capacity_matches_object_kernel(self, n):
+        # Defining items across every doubling boundary keeps values
+        # and order identical to the object kernel, and fresh slots
+        # are handed out lowest-first.
+        items = [f"item{i}" for i in range(n)]
         obj, col = AVTable("s"), ColumnarAVTable("s")
-        col.reserve(reserved)
-        for i, item in enumerate(ITEMS):
+        for i, item in enumerate(items):
             obj.define(item, float(i))
             col.define(item, float(i))
         assert obj.as_dict() == col.as_dict()
         assert list(obj.items()) == list(col.items())
+        assert list(col._index.values()) == list(range(n))
 
-    def test_reserve_is_idempotent_and_never_shrinks(self):
+    def test_growth_is_geometric(self):
+        col = CountingStore("s")
+        for i in range(1000):
+            col.insert(f"item{i}", float(i))
+        # 8, 16, 32, ..., 1024: one growth step per doubling.
+        assert col.grows == 8
+        assert len(col._val) == len(col._ver) == len(col._at) == 1024
+        assert list(col._index.values()) == list(range(1000))
+
+    def test_freed_slots_reused_lowest_first_before_spare(self):
+        # 9 inserts grow capacity to 16 (slots 9..15 spare on the
+        # free-list); drops must still be reused lowest-first, ahead
+        # of the spare fresh slots.
         col = ColumnarStore("s")
-        col.reserve(4)
-        col.reserve(2)  # no-op: already roomier
-        col.reserve(4)
-        for i, item in enumerate(ITEMS):
-            col.insert(item, float(i))
-        assert col.as_dict() == {item: float(i) for i, item in enumerate(ITEMS)}
+        for i in range(9):
+            col.insert(f"item{i}", float(i))
+        for i in (6, 2, 4):
+            col.drop(f"item{i}")
+        for name in ("x0", "x1", "x2", "x3", "x4"):
+            col.insert(name, 1.0)
+        slots = {k: col._index[k] for k in ("x0", "x1", "x2", "x3", "x4")}
+        assert slots == {"x0": 2, "x1": 4, "x2": 6, "x3": 9, "x4": 10}
+
+    def test_belief_slots_reused_lowest_first_after_forget(self):
+        col = ColumnarBeliefTable("s")
+        for peer in ("p0", "p1", "p2"):
+            for item in ITEMS:
+                col.observe(peer, item, 1.0, 0.0)
+        freed = sorted(
+            slot for (peer, _), slot in col._index.items() if peer == "p1"
+        )
+        col.forget_peer("p1")
+        for item in ITEMS:
+            col.observe("p3", item, 2.0, 1.0)
+        assert [col._index[("p3", item)] for item in ITEMS] == freed
 
     def test_unseen_catalog_items_raise_not_alias(self):
         # A site that never defined an item must get the domain error —
@@ -300,3 +345,135 @@ class TestInterestSliceBoundaries:
         assert col.values_for(reversed(ITEMS)) == [4.0, 3.0, 2.0, 1.0, 0.0]
         with pytest.raises(UnknownItem):
             col.values_for(["itemA", "missing"])
+
+
+# --------------------------------------------------------------------- #
+# bulk load: insert_many == a loop of insert, on both kernels
+# --------------------------------------------------------------------- #
+
+
+def _store_state(store):
+    return (
+        [(item, repr(value)) for item, value in store.items()],
+        [
+            (store.record(i).version, store.record(i).updated_at)
+            for i in store.item_ids()
+        ],
+        store.mutations,
+    )
+
+
+def _insert_loop(store, pairs, now):
+    """The reference: one ``insert`` per pair; the first error type."""
+    for item, value in pairs:
+        try:
+            store.insert(item, value, now=now)
+        except (DuplicateItem, NegativeValue) as exc:
+            return type(exc)
+    return None
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    prefix=st.lists(
+        st.tuples(st.booleans(), st.sampled_from(ITEMS)), max_size=20
+    ),
+    batch=st.lists(
+        st.tuples(
+            st.sampled_from(ITEMS + ["itemF", "itemG", "itemH"]), amounts
+        ),
+        max_size=8,
+    ),
+    allow_negative=st.booleans(),
+)
+def test_insert_many_matches_insert_loop(prefix, batch, allow_negative):
+    # Both kernels, each against a loop of insert on its own kind. The
+    # prefix churn leaves a non-empty free-list behind drops.
+    stores = {
+        kind: [cls("s", allow_negative=allow_negative) for _ in range(2)]
+        for kind, cls in (("object", Store), ("columnar", ColumnarStore))
+    }
+    for bulk, loop in stores.values():
+        for insert, item in prefix:
+            for store in (bulk, loop):
+                if insert and item not in store:
+                    store.insert(item, 1.0)
+                elif not insert and item in store:
+                    store.drop(item)
+
+    errors = {}
+    col_free = list(stores["columnar"][0]._free)
+    for kind, (bulk, loop) in stores.items():
+        before = _store_state(bulk)
+        errors[kind] = _insert_loop(loop, batch, now=3.0)
+        if errors[kind] is None:
+            bulk.insert_many(batch, now=3.0)
+            assert _store_state(bulk) == _store_state(loop)
+        else:
+            with pytest.raises(errors[kind]):
+                bulk.insert_many(batch, now=3.0)
+            # A rejected batch writes nothing.
+            assert _store_state(bulk) == before
+    assert errors["object"] == errors["columnar"]
+    assert _store_state(stores["object"][0]) == _store_state(
+        stores["columnar"][0]
+    )
+    bulk, loop = stores["columnar"]
+    if errors["columnar"] is None:
+        # Same slot mapping, and the next allocation agrees too.
+        bulk.insert("probe", 0.0)
+        loop.insert("probe", 0.0)
+        assert bulk._index == loop._index
+    else:
+        assert bulk._free == col_free
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    prefix=st.lists(
+        st.tuples(
+            st.sampled_from(["observe", "forget"]),
+            st.sampled_from(["p0", "p1", "p2"]),
+            st.sampled_from(ITEMS[:3]),
+            st.sampled_from([0.0, 1.0, 5.0]),
+        ),
+        max_size=12,
+    ),
+    batch=st.lists(
+        st.tuples(
+            st.sampled_from(["p0", "p1", "p2", "p3"]),
+            st.sampled_from(ITEMS),
+            amounts,
+        ),
+        max_size=10,
+    ),
+    now=st.sampled_from([0.0, 2.0]),
+)
+def test_observe_many_matches_observe_loop(prefix, batch, now):
+    # Bulk seeding (fresh keys into an empty table) and the general case
+    # (repeats, stale observations, freed slots) against a loop.
+    tables = [
+        (BeliefTable("s"), BeliefTable("s")),
+        (ColumnarBeliefTable("s"), ColumnarBeliefTable("s")),
+    ]
+    for bulk, loop in tables:
+        for table in (bulk, loop):
+            for op, peer, item, at in prefix:
+                if op == "observe":
+                    table.observe(peer, item, 1.0, at)
+                else:
+                    table.forget_peer(peer)
+        bulk.observe_many(batch, now=now)
+        for peer, item, volume in batch:
+            loop.observe(peer, item, volume, now)
+    states = [
+        [
+            (p, i, repr(b.volume), b.observed_at)
+            for p, i, b in table.entries()
+        ] + [table.observations]
+        for pair in tables
+        for table in pair
+    ]
+    assert states[0] == states[1] == states[2] == states[3]
+    col_bulk, col_loop = tables[1]
+    assert col_bulk._index == col_loop._index
